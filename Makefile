@@ -1,6 +1,6 @@
 # Tier-1 gate (see ROADMAP.md): the module must build, vet clean and pass
 # every test from a clean checkout.
-.PHONY: check build test vet race bench bench-daemon experiments lint lint-docs cache-smoke fault-smoke daemon-smoke
+.PHONY: check build test vet bench-vet race bench bench-daemon experiments lint lint-docs cache-smoke fault-smoke daemon-smoke
 
 check: vet test
 
@@ -12,6 +12,13 @@ vet:
 
 test:
 	go test ./...
+
+# The benchmark-harness gate: chbench/ is a separate module built against
+# this working tree (replace repro => ../), so a change to an exported API
+# it calls fails here rather than after merge. GOPROXY=off: the harness
+# has no dependencies to fetch.
+bench-vet:
+	cd chbench && GOPROXY=off go vet ./...
 
 # The concurrency gate: the pool, the shared caches and the registry must
 # be race-clean with the detector on.

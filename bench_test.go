@@ -183,7 +183,7 @@ func buildOnce(b *testing.B, distro, name, text string, mode build.ForceMode) fl
 	}
 	store.Put(img)
 	wantErr := mode == build.ForceNone && distro == pkgmgr.DistroCentOS7
-	res, err := build.Build(text, build.Options{
+	res, err := build.BuildContext(context.Background(), text, build.Options{
 		Tag: "bench", Force: mode, Store: store, World: world,
 	})
 	if (err != nil) != wantErr {
@@ -358,7 +358,7 @@ func BenchmarkStateFootprint(b *testing.B) {
 				store := image.NewStore()
 				img, _ := world.BaseImage(pkgmgr.DistroCentOS7, "centos:7")
 				store.Put(img)
-				res, err := build.Build("FROM centos:7\nRUN yum install -y openssh\n",
+				res, err := build.BuildContext(context.Background(), "FROM centos:7\nRUN yum install -y openssh\n",
 					build.Options{Tag: "bench", Force: mode, Store: store, World: world})
 				if err != nil {
 					b.Fatal(err)
@@ -383,12 +383,12 @@ func BenchmarkBuildCached(b *testing.B) {
 	text := "FROM centos:7\nRUN yum install -y openssh\n"
 	opt := build.Options{Tag: "bench", Force: build.ForceSeccomp,
 		Store: store, World: world, Cache: cache}
-	if _, err := build.Build(text, opt); err != nil {
+	if _, err := build.BuildContext(context.Background(), text, opt); err != nil {
 		b.Fatal(err) // warm the cache
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := build.Build(text, opt)
+		res, err := build.BuildContext(context.Background(), text, opt)
 		if err != nil || res.CacheHits == 0 {
 			b.Fatalf("cached rebuild: hits=%d err=%v", res.CacheHits, err)
 		}
@@ -414,13 +414,13 @@ func BenchmarkObsOverhead(b *testing.B) {
 		text := "FROM centos:7\nRUN yum install -y openssh\n"
 		opt := build.Options{Tag: "bench", Force: build.ForceSeccomp,
 			Store: store, World: world, Cache: cache}
-		if _, err := build.Build(text, opt); err != nil {
+		if _, err := build.BuildContext(context.Background(), text, opt); err != nil {
 			b.Fatal(err) // warm the cache
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := build.Build(text, opt)
+			res, err := build.BuildContext(context.Background(), text, opt)
 			if err != nil || res.CacheHits == 0 {
 				b.Fatalf("cached rebuild: hits=%d err=%v", res.CacheHits, err)
 			}
@@ -482,7 +482,7 @@ func BenchmarkBuildParallel(b *testing.B) {
 				store, world := freshFixtures(b)
 				cache := build.NewCache()
 				b.StartTimer()
-				if _, err := (&build.Pool{Workers: n}).Run(mkJobs(n, store, world, cache)); err != nil {
+				if _, err := (&build.Pool{Workers: n}).RunContext(context.Background(), mkJobs(n, store, world, cache)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -490,13 +490,13 @@ func BenchmarkBuildParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("warm/builders=%d", n), func(b *testing.B) {
 			store, world := freshFixtures(b)
 			cache := build.NewCache()
-			if _, err := (&build.Pool{Workers: 1}).Run(mkJobs(1, store, world, cache)); err != nil {
+			if _, err := (&build.Pool{Workers: 1}).RunContext(context.Background(), mkJobs(1, store, world, cache)); err != nil {
 				b.Fatal(err) // warm the shared cache
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := (&build.Pool{Workers: n}).Run(mkJobs(n, store, world, cache)); err != nil {
+				if _, err := (&build.Pool{Workers: n}).RunContext(context.Background(), mkJobs(n, store, world, cache)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -558,7 +558,7 @@ COPY --from=assets /srv/assets /app/assets
 				store, world := freshFixtures(b)
 				cache := build.NewCache()
 				b.StartTimer()
-				res, err := build.Build(text, opt(store, world, cache, jobs))
+				res, err := build.BuildContext(context.Background(), text, opt(store, world, cache, jobs))
 				if err != nil || res.StagesBuilt != 3 {
 					b.Fatalf("stages=%d err=%v", res.StagesBuilt, err)
 				}
@@ -568,13 +568,13 @@ COPY --from=assets /srv/assets /app/assets
 	b.Run("warm", func(b *testing.B) {
 		store, world := freshFixtures(b)
 		cache := build.NewCache()
-		if _, err := build.Build(text, opt(store, world, cache, 2)); err != nil {
+		if _, err := build.BuildContext(context.Background(), text, opt(store, world, cache, 2)); err != nil {
 			b.Fatal(err) // warm the shared cache
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := build.Build(text, opt(store, world, cache, 2))
+			res, err := build.BuildContext(context.Background(), text, opt(store, world, cache, 2))
 			if err != nil || res.CacheHits == 0 {
 				b.Fatalf("hits=%d err=%v", res.CacheHits, err)
 			}
@@ -616,7 +616,7 @@ func BenchmarkBuildPersistent(b *testing.B) {
 			b.Fatal(err)
 		}
 		store.Put(img)
-		res, err := build.Build(text, build.Options{
+		res, err := build.BuildContext(context.Background(), text, build.Options{
 			Tag: "bench", Force: build.ForceSeccomp,
 			Store: store, World: world, Cache: build.NewPersistentCache(d),
 		})
@@ -651,13 +651,13 @@ func BenchmarkBuildPersistent(b *testing.B) {
 		cache := build.NewCache()
 		opt := build.Options{Tag: "bench", Force: build.ForceSeccomp,
 			Store: store, World: world, Cache: cache}
-		if _, err := build.Build(text, opt); err != nil {
+		if _, err := build.BuildContext(context.Background(), text, opt); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := build.Build(text, opt)
+			res, err := build.BuildContext(context.Background(), text, opt)
 			if err != nil || res.Executed != 0 {
 				b.Fatalf("executed=%d err=%v", res.Executed, err)
 			}
@@ -687,7 +687,7 @@ func BenchmarkBuildFilterVariants(b *testing.B) {
 				store := image.NewStore()
 				img, _ := world.BaseImage(pkgmgr.DistroCentOS7, "centos:7")
 				store.Put(img)
-				res, err := build.Build("FROM centos:7\nRUN yum install -y openssh\n",
+				res, err := build.BuildContext(context.Background(), "FROM centos:7\nRUN yum install -y openssh\n",
 					build.Options{Tag: "bench", Force: build.ForceSeccomp,
 						Store: store, World: world, FilterConfig: v.cfg})
 				if err != nil {

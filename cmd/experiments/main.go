@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strings"
@@ -56,7 +57,7 @@ func runBuild(text string, opt build.Options) (*build.Result, string, error) {
 	var out strings.Builder
 	opt.Output = &out
 	opt.Tag = "win"
-	res, err := build.Build(text, opt)
+	res, err := build.BuildContext(context.Background(), text, opt)
 	return res, out.String(), err
 }
 
@@ -349,7 +350,7 @@ func main() {
 				})
 			}
 		}
-		results, _ := (&build.Pool{Workers: 4}).Run(jobs)
+		results, _ := (&build.Pool{Workers: 4}).RunContext(context.Background(), jobs)
 		shapesOK := true
 		for _, r := range results {
 			if (r.Err != nil) != wantFail[r.Name] {
@@ -435,7 +436,7 @@ COPY --from=build /opt/solver /app/solver
 				}
 				s.Put(img)
 			}
-			res, err := build.Build(text, build.Options{
+			res, err := build.BuildContext(context.Background(), text, build.Options{
 				Tag: "e19:1", Force: build.ForceSeccomp,
 				Store: s, World: w, Cache: build.NewPersistentCache(d),
 			})

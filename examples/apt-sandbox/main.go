@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -23,6 +24,7 @@ RUN apt-get install -y curl
 `
 
 func main() {
+	ctx := context.Background()
 	world := pkgmgr.NewWorld()
 	store := image.NewStore()
 	base, err := world.BaseImage(pkgmgr.DistroDebian, "debian:12")
@@ -48,7 +50,7 @@ func main() {
 		r.opt.Store = store
 		r.opt.World = world
 		r.opt.Output = os.Stdout
-		res, err := build.Build(dockerfile, r.opt)
+		res, err := build.BuildContext(ctx, dockerfile, r.opt)
 		switch {
 		case r.fails && err == nil:
 			fmt.Fprintln(os.Stderr, "unexpected success")

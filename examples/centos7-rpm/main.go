@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -20,6 +21,7 @@ RUN yum install -y openssh
 `
 
 func main() {
+	ctx := context.Background()
 	world := pkgmgr.NewWorld()
 	store := image.NewStore()
 	base, err := world.BaseImage(pkgmgr.DistroCentOS7, "centos:7")
@@ -30,7 +32,7 @@ func main() {
 	store.Put(base)
 
 	fmt.Println("=== Figure 1b: ch-image build -t win --force=none .")
-	_, err = build.Build(dockerfile, build.Options{
+	_, err = build.BuildContext(ctx, dockerfile, build.Options{
 		Tag: "win", Force: build.ForceNone, Store: store, World: world, Output: os.Stdout,
 	})
 	if err == nil {
@@ -40,7 +42,7 @@ func main() {
 	fmt.Printf("(as expected: %v)\n\n", err)
 
 	fmt.Println("=== Figure 2: ch-image build -t win --force=seccomp .")
-	res, err := build.Build(dockerfile, build.Options{
+	res, err := build.BuildContext(ctx, dockerfile, build.Options{
 		Tag: "win", Force: build.ForceSeccomp, Store: store, World: world, Output: os.Stdout,
 	})
 	if err != nil {

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -32,6 +33,7 @@ CMD ["/opt/simapp/solver"]
 `
 
 func main() {
+	ctx := context.Background()
 	world := pkgmgr.NewWorld()
 	store := image.NewStore()
 	base, err := world.BaseImage(pkgmgr.DistroCentOS7, "centos:7")
@@ -40,14 +42,14 @@ func main() {
 	}
 	store.Put(base)
 	cache := build.NewCache()
-	context := map[string][]byte{
+	files := map[string][]byte{
 		"solver.c": []byte("/* 3-D stencil solver */\nint main(void){return 0;}\n"),
 	}
 
 	fmt.Println("=== first build (cold cache)")
-	res, err := build.Build(dockerfile, build.Options{
+	res, err := build.BuildContext(ctx, dockerfile, build.Options{
 		Tag: "simapp:1.4", Force: build.ForceSeccomp, Store: store,
-		World: world, Context: context, Output: os.Stdout, Cache: cache,
+		World: world, Context: files, Output: os.Stdout, Cache: cache,
 		BuildArgs: map[string]string{"VERSION": "1.4"},
 	})
 	if err != nil {
@@ -57,9 +59,9 @@ func main() {
 		len(res.Image.Layers), res.Counters.Faked, res.CacheHits)
 
 	fmt.Println("=== rebuild (warm cache: every RUN/COPY replays)")
-	res2, err := build.Build(dockerfile, build.Options{
+	res2, err := build.BuildContext(ctx, dockerfile, build.Options{
 		Tag: "simapp:1.4", Force: build.ForceSeccomp, Store: store,
-		World: world, Context: context, Output: os.Stdout, Cache: cache,
+		World: world, Context: files, Output: os.Stdout, Cache: cache,
 		BuildArgs: map[string]string{"VERSION": "1.4"},
 	})
 	if err != nil {

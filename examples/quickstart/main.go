@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -19,6 +20,7 @@ RUN apk add sl
 `
 
 func main() {
+	ctx := context.Background()
 	world := pkgmgr.NewWorld()
 	store := image.NewStore()
 	base, err := world.BaseImage(pkgmgr.DistroAlpine, "alpine:3.19")
@@ -30,7 +32,7 @@ func main() {
 
 	for _, mode := range []build.ForceMode{build.ForceNone, build.ForceSeccomp} {
 		fmt.Printf("=== ch-image build -t win --force=%s .\n", mode)
-		res, err := build.Build(dockerfile, build.Options{
+		res, err := build.BuildContext(ctx, dockerfile, build.Options{
 			Tag: "win", Force: mode, Store: store, World: world, Output: os.Stdout,
 		})
 		if err != nil {

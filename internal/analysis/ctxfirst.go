@@ -6,20 +6,20 @@ import (
 	"go/types"
 )
 
-// CtxFirst checks the engine's context plumbing contract (PR 7):
+// CtxFirst checks the engine's context plumbing contract:
 //
 //  1. any function or method taking a context.Context takes it as the
 //     FIRST parameter — mixed orders make the cancellation path easy to
 //     drop on refactors;
 //  2. library code never calls context.Background() or context.TODO():
 //     a context manufactured mid-stack silently detaches the work from
-//     the caller's cancellation and deadlines. The legacy context-free
-//     compat wrappers (Store.Flatten → FlattenContext and friends) each
-//     carry a //chlint:allow ctxfirst annotation naming themselves the
-//     exception.
+//     the caller's cancellation and deadlines. The few roots that
+//     genuinely have no caller context (cas.Open's open-time repair,
+//     Store.Put's setup-time seeding) each carry a //chlint:allow
+//     ctxfirst annotation giving the reason.
 var CtxFirst = &Analyzer{
 	Name: "ctxfirst",
-	Doc:  "context.Context parameters come first; context.Background() only in annotated compat wrappers",
+	Doc:  "context.Context parameters come first; context.Background() only at annotated roots with no caller context",
 	Targets: []string{
 		"repro/internal/cas",
 		"repro/internal/build",
@@ -85,7 +85,7 @@ func runCtxFirst(prog *Program) []Finding {
 					return true
 				}
 				out = append(out, Finding{CtxFirst.Name, prog.Fset.Position(call.Pos()),
-					fmt.Sprintf("context.%s() in library code detaches work from the caller's cancellation; thread a ctx parameter through (or annotate a compat wrapper)",
+					fmt.Sprintf("context.%s() in library code detaches work from the caller's cancellation; thread a ctx parameter through (or annotate a root that has no caller context)",
 						sel.Sel.Name)})
 				return true
 			})

@@ -8,9 +8,9 @@ func StoreBlob(ctx context.Context, digest string, data []byte) error {
 	return nil
 }
 
-// Store is StoreBlob's context-free compat wrapper; the annotation
+// Seed runs at setup, before any caller context exists; the annotation
 // names it the exception, so it is clean.
-func Store(digest string, data []byte) error {
-	//chlint:allow ctxfirst -- context-free compat wrapper retained for callers predating the context plumbing
+func Seed(digest string, data []byte) error {
+	//chlint:allow ctxfirst -- setup-time seeding has no caller context
 	return StoreBlob(context.Background(), digest, data)
 }

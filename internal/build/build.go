@@ -13,7 +13,7 @@
 //
 //	dockerfile → stage DAG → pool → build → rootemu → simos/vfs → image
 //
-// Multi-stage Dockerfiles route through the BuildStages driver (see
+// Multi-stage Dockerfiles route through the stage driver (buildStages in
 // stages.go): reachable stages are scheduled in dependency order on
 // build.Pool, COPY --from materialises files from earlier stages'
 // flattened trees, and only the final stage is tagged.
@@ -258,22 +258,17 @@ type Result struct {
 // buildUID is the invoking (unprivileged) user every build runs as.
 const buildUID = 1000
 
-// Build executes Dockerfile text under opts. Multi-stage Dockerfiles are
-// routed through the BuildStages driver, which schedules independent
-// stages concurrently on a stage pool and prunes unreferenced ones. The
-// returned Result is never nil: on failure it still carries the counters
-// and modeled time accrued up to the failing instruction.
-func Build(text string, opt Options) (*Result, error) {
-	//chlint:allow ctxfirst -- context-free compat wrapper; BuildContext is the real entry point
-	return BuildContext(context.Background(), text, opt)
-}
-
-// BuildContext is Build under a context: cancelling ctx stops the build
-// at its next instruction boundary with an error wrapping ctx's cause,
-// and Options.BuildTimeout layers a whole-build deadline on top. A build
-// that succeeds but fails to persist — cache write-through or store
-// backing errors — still returns nil error, with Result.Degraded set
-// (the degraded-operation contract; see docs/cas.md).
+// BuildContext executes Dockerfile text under opts. Multi-stage
+// Dockerfiles, and any build naming Options.TargetStage, are routed
+// through the stage driver, which schedules independent stages
+// concurrently on a stage pool and prunes unreferenced ones. The returned
+// Result is never nil: on failure it still carries the counters and
+// modeled time accrued up to the failing instruction. Cancelling ctx
+// stops the build at its next instruction boundary with an error wrapping
+// ctx's cause, and Options.BuildTimeout layers a whole-build deadline on
+// top. A build that succeeds but fails to persist — cache write-through
+// or store backing errors — still returns nil error, with Result.Degraded
+// set (the degraded-operation contract; see docs/cas.md).
 func BuildContext(ctx context.Context, text string, opt Options) (res *Result, err error) {
 	if opt.BuildTimeout > 0 {
 		var cancel context.CancelFunc
@@ -367,10 +362,6 @@ func noteDegraded(res *Result, opt Options) {
 // f has a single stage. It returns the stage's Result and image.
 // Cancelling ctx stops the stage at its next instruction boundary.
 func buildOneStage(ctx context.Context, f *dockerfile.File, stage int, imgs []*image.Image, opt Options) (*Result, *image.Image, error) {
-	if ctx == nil {
-		//chlint:allow ctxfirst -- defensive nil-ctx guard for direct internal callers
-		ctx = context.Background()
-	}
 	ctx, span := obs.StartSpan(ctx, fmt.Sprintf("stage %d (%s)", stage+1, stageLabel(f.Stages[stage])))
 	defer span.End()
 	b := &builder{
@@ -575,7 +566,7 @@ func (b *builder) step(ins dockerfile.Instruction) error {
 // installs the requested root emulation.
 func (b *builder) stepFrom(ins dockerfile.Instruction) error {
 	if b.p != nil {
-		// Cannot happen through Build/BuildStages: the parser splits on
+		// Cannot happen through BuildContext: the parser splits on
 		// every FROM, so each stage body holds none.
 		return fmt.Errorf("build: line %d: second FROM in one stage", ins.Line)
 	}

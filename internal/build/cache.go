@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -98,15 +97,10 @@ func NewPersistentCache(d *cas.Dir) *Cache {
 	return c
 }
 
-// PersistErr reports the write-through failures as one joined error, nil
-// when every completed step reached the backing store. A failure leaves
-// the on-disk cache colder, never wrong.
-func (c *Cache) PersistErr() error {
-	return errors.Join(c.PersistErrs()...)
-}
-
 // PersistErrs returns every recorded write-through failure (a copy),
-// plus a trailing summary entry when failures past the cap were dropped.
+// plus a trailing summary entry when failures past the cap were dropped;
+// nil when every completed step reached the backing store. A failure
+// leaves the on-disk cache colder, never wrong.
 func (c *Cache) PersistErrs() []error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -243,7 +237,7 @@ func (c *Cache) getOrBegin(ctx context.Context, key string) (ent cacheEntry, hit
 // it. The layer bytes are copied in: entries are shared across builds and
 // must stay immutable however callers treat the slices they recorded. A
 // persistent cache also writes the step through to its backing store; a
-// write-through failure is parked in PersistErr, never surfaced to the
+// write-through failure is parked in PersistErrs, never surfaced to the
 // build.
 func (c *Cache) complete(ctx context.Context, key string, ent cacheEntry) {
 	if ent.layer != nil {

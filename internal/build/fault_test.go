@@ -155,7 +155,7 @@ func TestFaultSoak(t *testing.T) {
 	defer d.Close()
 	_, s := fixtures(t)
 	s.SetBacking(d)
-	res, err := Build("FROM alpine:3.19\nRUN echo a > /a\n", Options{
+	res, err := BuildContext(context.Background(), "FROM alpine:3.19\nRUN echo a > /a\n", Options{
 		Tag: "soak:final", Force: ForceSeccomp, Store: s, World: w,
 		Cache: NewPersistentCache(d),
 	})
@@ -181,7 +181,7 @@ func TestENOSPCWriteThroughDegradesBuild(t *testing.T) {
 	s.SetBacking(d)
 	d.SetFailpoints(cas.FailOps(fmt.Errorf("injected: %w", syscall.ENOSPC), cas.OpBlobWrite))
 
-	res, err := Build(echoDockerfile, Options{
+	res, err := BuildContext(context.Background(), echoDockerfile, Options{
 		Tag: "e:1", Force: ForceSeccomp, Store: s, World: w,
 		Cache: NewPersistentCache(d),
 	})
@@ -194,7 +194,7 @@ func TestENOSPCWriteThroughDegradesBuild(t *testing.T) {
 	if !errors.Is(errors.Join(res.DegradedErrs...), syscall.ENOSPC) {
 		t.Fatalf("DegradedErrs should carry the ENOSPC: %v", res.DegradedErrs)
 	}
-	if _, ok := s.Get("e:1"); !ok {
+	if _, ok := s.GetContext(context.Background(), "e:1"); !ok {
 		t.Fatal("degraded build must still tag its image in memory")
 	}
 
@@ -223,7 +223,7 @@ func TestQuarantinedBlobMidReplayHeals(t *testing.T) {
 	}
 	w, s1 := fixtures(t)
 	s1.SetBacking(d1)
-	res, err := Build(text, Options{
+	res, err := BuildContext(context.Background(), text, Options{
 		Tag: "h:1", Force: ForceSeccomp, Store: s1, World: w,
 		Cache: NewPersistentCache(d1),
 	})
@@ -259,7 +259,7 @@ func TestQuarantinedBlobMidReplayHeals(t *testing.T) {
 	}
 	_, s2 := fixtures(t)
 	s2.SetBacking(d2)
-	res, err = Build(text, Options{
+	res, err = BuildContext(context.Background(), text, Options{
 		Tag: "h:1", Force: ForceSeccomp, Store: s2, World: w,
 		Cache: NewPersistentCache(d2),
 	})
@@ -282,7 +282,7 @@ func TestQuarantinedBlobMidReplayHeals(t *testing.T) {
 	}
 	_, s3 := fixtures(t)
 	s3.SetBacking(d3)
-	res, err = Build(text, Options{
+	res, err = BuildContext(context.Background(), text, Options{
 		Tag: "h:1", Force: ForceSeccomp, Store: s3, World: w,
 		Cache: NewPersistentCache(d3),
 	})
@@ -299,7 +299,7 @@ func TestCorruptInMemoryCacheLayerIsFatal(t *testing.T) {
 	w, s := fixtures(t)
 	cache := NewCache()
 	opt := Options{Tag: "c:1", Force: ForceSeccomp, Store: s, World: w, Cache: cache}
-	if _, err := Build(echoDockerfile, opt); err != nil {
+	if _, err := BuildContext(context.Background(), echoDockerfile, opt); err != nil {
 		t.Fatal(err)
 	}
 	cache.mu.Lock()
@@ -315,7 +315,7 @@ func TestCorruptInMemoryCacheLayerIsFatal(t *testing.T) {
 	if poisoned == 0 {
 		t.Fatal("no layered entries to poison")
 	}
-	_, err := Build(echoDockerfile, opt)
+	_, err := BuildContext(context.Background(), echoDockerfile, opt)
 	if err == nil || !strings.Contains(err.Error(), "corrupt cache layer") {
 		t.Fatalf("want fatal corrupt-cache-layer error, got %v", err)
 	}

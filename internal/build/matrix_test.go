@@ -1,6 +1,7 @@
 package build
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -51,7 +52,7 @@ func TestBuildMatrix(t *testing.T) {
 			t.Run(wl.key+"/"+mode.String(), func(t *testing.T) {
 				w, s := fixtures(t)
 				var out strings.Builder
-				res, err := Build(wl.text, Options{
+				res, err := BuildContext(context.Background(), wl.text, Options{
 					Tag: "matrix", Force: mode, Store: s, World: w, Output: &out,
 				})
 				wantErr := wl.failModes[mode]
@@ -89,7 +90,7 @@ func TestBuildMatrixOverheadOrdering(t *testing.T) {
 	vns := map[ForceMode]int64{}
 	for _, mode := range []ForceMode{ForceNone, ForceSeccomp, ForceFakeroot, ForceProot} {
 		w, s := fixtures(t)
-		res, err := Build(text, Options{Tag: "ord", Force: mode, Store: s, World: w})
+		res, err := BuildContext(context.Background(), text, Options{Tag: "ord", Force: mode, Store: s, World: w})
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}

@@ -256,12 +256,6 @@ func runJob(ctx context.Context, job Job, fallback string) JobResult {
 	return r
 }
 
-// Run is RunContext under context.Background().
-func (p *Pool) Run(jobs []Job) ([]JobResult, error) {
-	//chlint:allow ctxfirst -- context-free compat wrapper; RunContext is the real entry point
-	return p.RunContext(context.Background(), jobs)
-}
-
 // RunContext executes jobs and returns one JobResult per job, in
 // submission order, plus the aggregate error (errors.Join of the per-job
 // failures). Results are complete even when the error is non-nil — the

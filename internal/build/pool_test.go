@@ -1,6 +1,7 @@
 package build
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -40,7 +41,7 @@ func sameJobs(t *testing.T, n int) ([]Job, *Cache) {
 
 func TestPoolResultsInSubmissionOrder(t *testing.T) {
 	jobs, _ := sameJobs(t, 4)
-	results, err := (&Pool{Workers: 2}).Run(jobs)
+	results, err := (&Pool{Workers: 2}).RunContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestPoolResultsInSubmissionOrder(t *testing.T) {
 func TestPoolSameDockerfileFullyCachedRuns(t *testing.T) {
 	const n = 5
 	jobs, cache := sameJobs(t, n)
-	results, err := (&Pool{Workers: 1}).Run(jobs)
+	results, err := (&Pool{Workers: 1}).RunContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestPoolConcurrentAccountingInvariants(t *testing.T) {
 	const n = 8
 	jobs, cache := sameJobs(t, n)
 	store := jobs[0].Options.Store
-	results, err := (&Pool{Workers: 4}).Run(jobs)
+	results, err := (&Pool{Workers: 4}).RunContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestPoolConcurrentAccountingInvariants(t *testing.T) {
 	}
 	// Every tag landed in the shared store.
 	for i := range jobs {
-		if _, ok := store.Get(fmt.Sprintf("pooled:%d", i)); !ok {
+		if _, ok := store.GetContext(context.Background(), fmt.Sprintf("pooled:%d", i)); !ok {
 			t.Errorf("pooled:%d missing from store", i)
 		}
 	}
@@ -162,7 +163,7 @@ func TestPoolHeterogeneousJobs(t *testing.T) {
 		{Dockerfile: "FROM debian:12\nRUN apt-get install -y curl\n",
 			Options: Options{Tag: "apt:1", Force: ForceSeccomp, Store: s, World: w, Cache: cache}},
 	}
-	results, err := (&Pool{Workers: 3}).Run(jobs)
+	results, err := (&Pool{Workers: 3}).RunContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestPoolCollectAllErrors(t *testing.T) {
 		{Dockerfile: "FROM alpine:3.19\nRUN apk add sl\n",
 			Options: Options{Tag: "ok:1", Force: ForceNone, Store: s, World: w}},
 	}
-	results, err := (&Pool{Workers: 1}).Run(jobs)
+	results, err := (&Pool{Workers: 1}).RunContext(context.Background(), jobs)
 	if err == nil {
 		t.Fatal("pool error is nil; the yum/none job must fail")
 	}
@@ -197,7 +198,7 @@ func TestPoolCollectAllErrors(t *testing.T) {
 	if results[1].Err != nil {
 		t.Errorf("collect-all must still run the healthy job: %v", results[1].Err)
 	}
-	if _, ok := s.Get("ok:1"); !ok {
+	if _, ok := s.GetContext(context.Background(), "ok:1"); !ok {
 		t.Error("healthy job's image missing from store")
 	}
 }
@@ -213,7 +214,7 @@ func TestPoolFailFastSkips(t *testing.T) {
 		{Dockerfile: "FROM alpine:3.19\nRUN apk add sl\n",
 			Options: Options{Tag: "skipped:2", Force: ForceNone, Store: s, World: w}},
 	}
-	results, err := (&Pool{Workers: 1, FailFast: true}).Run(jobs)
+	results, err := (&Pool{Workers: 1, FailFast: true}).RunContext(context.Background(), jobs)
 	if err == nil {
 		t.Fatal("pool error is nil")
 	}
@@ -228,7 +229,7 @@ func TestPoolFailFastSkips(t *testing.T) {
 			t.Errorf("job %s: skipped job has a result", r.Name)
 		}
 	}
-	if _, ok := s.Get("skipped:1"); ok {
+	if _, ok := s.GetContext(context.Background(), "skipped:1"); ok {
 		t.Error("skipped job's image appeared in store")
 	}
 }
@@ -250,7 +251,7 @@ func TestPoolSharedCacheFailureReleasesWaiters(t *testing.T) {
 			},
 		}
 	}
-	results, err := (&Pool{Workers: 4}).Run(jobs)
+	results, err := (&Pool{Workers: 4}).RunContext(context.Background(), jobs)
 	if err == nil {
 		t.Fatal("every job should have failed")
 	}
@@ -329,7 +330,7 @@ func TestPoolCacheLayerAliasingDefended(t *testing.T) {
 	// blobs, so even the in-place corruption above cannot reach builds
 	// that derive from the tag.
 	derived, _ := mustBuild(t, "FROM pooled:0\nRUN echo c > /c\n", opt)
-	dfs, err := opt.Store.Flatten(derived.Image)
+	dfs, err := opt.Store.FlattenContext(context.Background(), derived.Image)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,13 +340,13 @@ func TestPoolCacheLayerAliasingDefended(t *testing.T) {
 }
 
 func TestPoolZeroJobsAndDefaults(t *testing.T) {
-	results, err := (&Pool{}).Run(nil)
+	results, err := (&Pool{}).RunContext(context.Background(), nil)
 	if err != nil || len(results) != 0 {
 		t.Fatalf("empty pool: %v %v", results, err)
 	}
 	// Workers <= 0 defaults to one per job.
 	jobs, _ := sameJobs(t, 2)
-	if _, err := (&Pool{Workers: -3}).Run(jobs); err != nil {
+	if _, err := (&Pool{Workers: -3}).RunContext(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -67,7 +67,7 @@ func TestServiceSubmitSharesCache(t *testing.T) {
 		t.Fatal("nil Output should capture a transcript")
 	}
 	for _, tag := range []string{"svc-a:latest", "svc-b:latest"} {
-		if _, ok := s.Get(tag); !ok {
+		if _, ok := s.GetContext(context.Background(), tag); !ok {
 			t.Fatalf("tag %s not in store", tag)
 		}
 	}

@@ -23,32 +23,9 @@ import (
 	"repro/internal/simos"
 )
 
-// BuildStages executes a multi-stage Dockerfile end to end and returns the
-// final stage's image (tagged into Options.Store under Options.Tag, like
-// Build). Independent stages run concurrently, bounded by
-// Options.StageJobs; intermediate stage images are never tagged. Build
-// routes multi-stage text here automatically, so calling BuildStages
-// directly is only useful to force the stage pipeline on single-stage
-// files too. The returned Result is never nil.
-func BuildStages(text string, opt Options) (*Result, error) {
-	//chlint:allow ctxfirst -- context-free compat wrapper; BuildStagesContext is the real entry point
-	return BuildStagesContext(context.Background(), text, opt)
-}
-
-// BuildStagesContext is BuildStages under a context: cancellation stops
-// every in-flight stage at its next instruction boundary and the waves
-// that never started never run.
-func BuildStagesContext(ctx context.Context, text string, opt Options) (*Result, error) {
-	f, err := dockerfile.Parse(text)
-	if err != nil {
-		return &Result{}, err
-	}
-	return buildStages(ctx, f, opt)
-}
-
 // stageJob carries one stage through the Pool (Job.stage). The imgs slice
 // is shared with the driver, which publishes every completed wave's images
-// before submitting the next wave — Pool.Run's completion is the
+// before submitting the next wave — RunContext's completion is the
 // happens-before edge, so stage builders never race on it.
 type stageJob struct {
 	file  *dockerfile.File
@@ -57,11 +34,15 @@ type stageJob struct {
 	final bool
 }
 
-// buildStages schedules the reachable stages of f in dependency order.
+// buildStages executes the stage pipeline end to end and returns the final
+// (or Options.TargetStage) stage's image, tagged into Options.Store under
+// Options.Tag. It schedules the reachable stages of f in dependency order:
+// independent stages run concurrently, bounded by Options.StageJobs;
+// intermediate stage images are never tagged. Cancellation stops every
+// in-flight stage at its next instruction boundary and the waves that
+// never started never run. BuildContext has already rejected a FROM-less
+// f. The returned Result is never nil.
 func buildStages(ctx context.Context, f *dockerfile.File, opt Options) (*Result, error) {
-	if len(f.Stages) == 0 {
-		return &Result{}, fmt.Errorf("build: no FROM instruction")
-	}
 	out := opt.Output
 	if out == nil {
 		out = io.Discard

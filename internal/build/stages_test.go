@@ -1,6 +1,7 @@
 package build
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -54,7 +55,7 @@ func TestMultiStageBuilderPattern(t *testing.T) {
 	if !strings.Contains(tr, "skipped, not referenced") {
 		t.Fatalf("transcript missing prune report:\n%s", tr)
 	}
-	got, ok := s.Get("slim:1")
+	got, ok := s.GetContext(context.Background(), "slim:1")
 	if !ok {
 		t.Fatal("final image not tagged")
 	}
@@ -67,7 +68,7 @@ func TestMultiStageBuilderPattern(t *testing.T) {
 	}
 	// Slim: the runtime image is alpine's layers plus exactly one COPY
 	// layer — none of the build stage's yum payload rides along.
-	base, _ := s.Get("alpine:3.19")
+	base, _ := s.GetContext(context.Background(), "alpine:3.19")
 	if len(got.Layers) != len(base.Layers)+1 {
 		t.Fatalf("layers: %d, want base+1 = %d", len(got.Layers), len(base.Layers)+1)
 	}
@@ -332,7 +333,7 @@ func TestMultiStagePooledMultiTag(t *testing.T) {
 			},
 		}
 	}
-	results, err := (&Pool{Workers: 3}).Run(jobs)
+	results, err := (&Pool{Workers: 3}).RunContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,25 +356,14 @@ func TestMultiStagePooledMultiTag(t *testing.T) {
 	}
 }
 
-func TestBuildStagesOnSingleStageFile(t *testing.T) {
-	w, s := fixtures(t)
-	res, err := BuildStages("FROM alpine:3.19\nRUN apk add sl\n",
-		Options{Tag: "single:1", Store: s, World: w})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.StagesBuilt != 1 || res.Image == nil {
-		t.Fatalf("result: %+v", res)
-	}
-}
-
 // A parseable but FROM-less Dockerfile (ARG only) is a clean error, not a
-// panic, through both entry points.
+// panic, through both routes: the single-stage path and the stage pipeline
+// a TargetStage forces.
 func TestBuildArgOnlyDockerfile(t *testing.T) {
-	for name, build := range map[string]func(string, Options) (*Result, error){
-		"Build": Build, "BuildStages": BuildStages,
+	for name, opt := range map[string]Options{
+		"single-stage": {}, "stage-pipeline": {TargetStage: "x"},
 	} {
-		res, err := build("ARG A=1\n", Options{})
+		res, err := BuildContext(context.Background(), "ARG A=1\n", opt)
 		if err == nil || !strings.Contains(err.Error(), "no FROM") {
 			t.Errorf("%s: err = %v", name, err)
 		}
@@ -407,7 +397,7 @@ func TestMultiStageWarmReplaySkipsSourceFlatten(t *testing.T) {
 }
 
 func TestMultiStageParseErrorNonNilResult(t *testing.T) {
-	res, err := BuildStages("FROM a\nCOPY --from=later /x /y\nFROM b AS later\n", Options{})
+	res, err := BuildContext(context.Background(), "FROM a\nCOPY --from=later /x /y\nFROM b AS later\n", Options{})
 	if err == nil {
 		t.Fatal("forward reference must fail")
 	}
@@ -435,7 +425,7 @@ func TestTargetStageStopsEarly(t *testing.T) {
 	if data, _ := readImageFile(t, res.Image, "/opt/out/bin"); string(data) != "artifact-v1\n" {
 		t.Fatalf("artifact: %q", data)
 	}
-	if _, ok := s.Get("builder:1"); !ok {
+	if _, ok := s.GetContext(context.Background(), "builder:1"); !ok {
 		t.Fatal("target image not in store")
 	}
 }

@@ -1,8 +1,8 @@
 // Package image implements layered container images: a content-addressed
 // layer store, image metadata, flattening layers onto a simulated
-// filesystem, committing filesystem changes as new layers, and an
-// in-process HTTP registry speaking a subset of the OCI distribution
-// protocol for FROM pulls.
+// filesystem, and an in-process HTTP registry speaking a subset of the
+// OCI distribution protocol for FROM pulls. New layers are committed by
+// the build engine's incremental tarutil.Snapshotter.
 package image
 
 import (
@@ -10,7 +10,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -85,41 +84,6 @@ func (img *Image) Flatten() (*vfs.FS, error) {
 	return fs, nil
 }
 
-// CommitLayer diffs fs against the image's current flattened state and, if
-// anything changed, appends the diff as a new layer on a derived image
-// named newName. The returned bool reports whether a layer was added.
-// Store.CommitLayer does the same with the base snapshot cached.
-func (img *Image) CommitLayer(newName string, fs *vfs.FS) (*Image, bool, error) {
-	baseFS, err := img.Flatten()
-	if err != nil {
-		return nil, false, err
-	}
-	lower, err := tarutil.Snapshot(baseFS)
-	if err != nil {
-		return nil, false, err
-	}
-	return img.commitAgainst(newName, lower, fs)
-}
-
-// commitAgainst diffs fs against a known lower snapshot of img.
-func (img *Image) commitAgainst(newName string, lower []tarutil.Entry, fs *vfs.FS) (*Image, bool, error) {
-	upper, err := tarutil.Snapshot(fs)
-	if err != nil {
-		return nil, false, err
-	}
-	diff := tarutil.Diff(lower, upper)
-	out := img.Clone(newName)
-	if len(diff) == 0 {
-		return out, false, nil
-	}
-	data, err := tarutil.Pack(diff)
-	if err != nil {
-		return nil, false, err
-	}
-	out.Layers = append(out.Layers, Layer{Digest: Digest(data), Data: data})
-	return out, true, nil
-}
-
 // ChainDigest identifies a layer chain: the digest of the ordered layer
 // digests. Two images with equal chain digests flatten identically.
 //
@@ -147,11 +111,12 @@ type Store struct {
 	lowers   map[string][]tarutil.Entry // chain digest → snapshot of that tree
 
 	// backing, when set, is the persistent content-addressed store the
-	// in-memory maps are a cache over: Put writes through (blobs, tag
-	// records, flatten-chain snapshots), Get and flattened fall back to it
-	// on miss and rehydrate lazily. A backing failure never fails the
-	// store — persistence degrades and the errors aggregate in
-	// backingErrs (capped; overflow counted in backingDropped).
+	// in-memory maps are a cache over: PutContext writes through (blobs,
+	// tag records, flatten-chain snapshots), GetContext and flattened
+	// fall back to it on miss and rehydrate lazily. A backing failure
+	// never fails the store — persistence degrades and the errors
+	// aggregate in backingErrs (capped; overflow counted in
+	// backingDropped).
 	backing        *cas.Dir
 	backingErrs    []error
 	backingDropped int
@@ -185,18 +150,12 @@ func NewStore() *Store {
 	}
 }
 
-// Flatten returns a filesystem holding img's flattened layers, like
+// FlattenContext returns a filesystem holding img's flattened layers, like
 // Image.Flatten, but the unpacked tree for each distinct layer chain is
 // built once and cached; callers receive an independent deep clone they
 // may mutate freely. The cached tree is snapshotted once at fill time,
-// which both serves Store.CommitLayer and warms the per-file content
-// digests every clone inherits.
-func (s *Store) Flatten(img *Image) (*vfs.FS, error) {
-	//chlint:allow ctxfirst -- context-free compat wrapper; FlattenContext is the real entry point
-	return s.FlattenContext(context.Background(), img)
-}
-
-// FlattenContext is Flatten under a context: cancellation aborts a
+// which both serves FlattenedEntriesContext and warms the per-file
+// content digests every clone inherits. Cancelling ctx aborts a
 // backing-store rehydration (the fill itself is in-memory work that runs
 // to completion).
 func (s *Store) FlattenContext(ctx context.Context, img *Image) (*vfs.FS, error) {
@@ -368,19 +327,13 @@ func (s *Store) flattenPristine(img *Image) (*vfs.FS, error) {
 	return fs, nil
 }
 
-// FlattenedEntries returns the canonical serialised snapshot (sorted
-// tarutil entries, parents before children) of img's flattened tree, from
-// the same per-chain memoisation Flatten uses — so reading a built stage's
-// tree for COPY --from costs no re-walk once any consumer has flattened
-// the chain. The returned slice and everything it references are shared
-// across callers and must be treated as read-only; copy Entry.Data before
-// retaining or mutating it.
-func (s *Store) FlattenedEntries(img *Image) ([]tarutil.Entry, error) {
-	//chlint:allow ctxfirst -- context-free compat wrapper; FlattenedEntriesContext is the real entry point
-	return s.FlattenedEntriesContext(context.Background(), img)
-}
-
-// FlattenedEntriesContext is FlattenedEntries under a context.
+// FlattenedEntriesContext returns the canonical serialised snapshot
+// (sorted tarutil entries, parents before children) of img's flattened
+// tree, from the same per-chain memoisation FlattenContext uses — so
+// reading a built stage's tree for COPY --from costs no re-walk once any
+// consumer has flattened the chain. The returned slice and everything it
+// references are shared across callers and must be treated as read-only;
+// copy Entry.Data before retaining or mutating it.
 func (s *Store) FlattenedEntriesContext(ctx context.Context, img *Image) ([]tarutil.Entry, error) {
 	_, lower, err := s.flattened(ctx, img)
 	if err != nil {
@@ -407,31 +360,13 @@ func (s *Store) Rehydrates() int {
 	return s.rehydrates
 }
 
-// CommitLayer is Image.CommitLayer using the store's flatten cache: the
-// base image's lower snapshot is computed once per layer chain, so each
-// commit costs one walk of fs instead of an unpack plus two full
-// snapshots.
-func (s *Store) CommitLayer(newName string, img *Image, fs *vfs.FS) (*Image, bool, error) {
-	//chlint:allow ctxfirst -- context-free compat wrapper; CommitLayerContext is the real entry point
-	return s.CommitLayerContext(context.Background(), newName, img, fs)
-}
-
-// CommitLayerContext is CommitLayer under a context.
-func (s *Store) CommitLayerContext(ctx context.Context, newName string, img *Image, fs *vfs.FS) (*Image, bool, error) {
-	_, lower, err := s.flattened(ctx, img)
-	if err != nil {
-		return nil, false, err
-	}
-	return img.commitAgainst(newName, lower, fs)
-}
-
 // SetBacking attaches a persistent content-addressed store: subsequent
 // Puts write through (layer blobs, tag records) and Gets and flatten
 // fills fall back to it, so tags, layers and flatten chains survive the
 // process and the next invocation starts warm. Attach the backing before
 // seeding the store — images Put earlier are not retroactively persisted.
 // Persistence errors never fail store operations; they are recorded and
-// readable via BackingErr.
+// readable via BackingErrs.
 func (s *Store) SetBacking(d *cas.Dir) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -450,16 +385,10 @@ func (s *Store) Backing() *cas.Dir {
 // cannot grow the error list without bound.
 const backingErrCap = 32
 
-// BackingErr reports the persistence failures since the backing was
-// attached as one joined error, nil when every write-through landed. A
-// failure means the on-disk cache is colder than memory, never that it
-// is wrong.
-func (s *Store) BackingErr() error {
-	return errors.Join(s.BackingErrs()...)
-}
-
-// BackingErrs returns every recorded persistence failure (a copy), plus
-// a trailing summary entry when failures past the cap were dropped.
+// BackingErrs returns every persistence failure since the backing was
+// attached (a copy), plus a trailing summary entry when failures past the
+// cap were dropped; nil when every write-through landed. A failure means
+// the on-disk cache is colder than memory, never that it is wrong.
 func (s *Store) BackingErrs() []error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -502,20 +431,21 @@ func (s *Store) GCBacking(ctx context.Context, b cas.Budget) (cas.GCStats, error
 	return stats, err
 }
 
-// Put tags an image, registering its layer blobs. Blob bytes are copied
-// on the way in and write-once thereafter: the store is content-addressed,
-// so the first bytes recorded under a digest are the bytes that digest
-// names, however callers later treat the Image they handed over. With a
-// backing store attached, the blobs and the tag record write through to
-// disk.
+// Put is PutContext for seeding base images at setup, where there is no
+// caller context to thread.
 func (s *Store) Put(img *Image) {
-	//chlint:allow ctxfirst -- context-free compat wrapper; PutContext is the real entry point
+	//chlint:allow ctxfirst -- setup-time seeding: daemon.New and the benchmark harness seed base images with no caller context
 	s.PutContext(context.Background(), img)
 }
 
-// PutContext is Put under a context: cancellation aborts the
-// write-through (recorded as a persistence failure), never the in-memory
-// tag, which is already visible when the disk write starts.
+// PutContext tags an image, registering its layer blobs. Blob bytes are
+// copied on the way in and write-once thereafter: the store is
+// content-addressed, so the first bytes recorded under a digest are the
+// bytes that digest names, however callers later treat the Image they
+// handed over. With a backing store attached, the blobs and the tag
+// record write through to disk. Cancelling ctx aborts the write-through
+// (recorded as a persistence failure), never the in-memory tag, which is
+// already visible when the disk write starts.
 func (s *Store) PutContext(ctx context.Context, img *Image) {
 	s.mu.Lock()
 	pristine := make([][]byte, len(img.Layers))
@@ -558,17 +488,12 @@ func (s *Store) PutContext(ctx context.Context, img *Image) {
 	s.mu.Unlock()
 }
 
-// Get resolves a tag, falling back to the backing store: a tag persisted
-// by an earlier invocation is rehydrated (layers loaded and digest-
-// verified) on first access and cached in memory from then on.
-func (s *Store) Get(name string) (*Image, bool) {
-	//chlint:allow ctxfirst -- context-free compat wrapper; GetContext is the real entry point
-	return s.GetContext(context.Background(), name)
-}
-
-// GetContext is Get under a context: cancellation aborts a backing-store
-// rehydration and reports a miss (callers on a cancelled context are
-// about to fail at their own boundary check anyway).
+// GetContext resolves a tag, falling back to the backing store: a tag
+// persisted by an earlier invocation is rehydrated (layers loaded and
+// digest-verified) on first access and cached in memory from then on.
+// Cancelling ctx aborts a backing-store rehydration and reports a miss
+// (callers on a cancelled context are about to fail at their own boundary
+// check anyway).
 func (s *Store) GetContext(ctx context.Context, name string) (*Image, bool) {
 	s.mu.RLock()
 	img, ok := s.images[name]
@@ -616,33 +541,6 @@ func (s *Store) GetContext(ctx context.Context, name string) (*Image, bool) {
 	}
 	s.images[name] = loaded
 	return loaded, true
-}
-
-// Delete removes a tag, writing the untag through to the backing store —
-// otherwise Get's backing fallback would resurrect it on the next miss.
-// Blobs are kept; reclaiming them is the backing store's GC's job
-// (`ch-image cache gc`).
-func (s *Store) Delete(name string) {
-	//chlint:allow ctxfirst -- context-free compat wrapper; DeleteContext is the real entry point
-	s.DeleteContext(context.Background(), name)
-}
-
-// DeleteContext is Delete under a context; like PutContext, cancellation
-// only degrades the write-through.
-func (s *Store) DeleteContext(ctx context.Context, name string) {
-	s.mu.Lock()
-	backing := s.backing
-	delete(s.images, name)
-	s.mu.Unlock()
-	if backing == nil {
-		return
-	}
-	err := cas.DefaultRetry.Do(ctx, func() error {
-		return backing.DeleteTag(ctx, name)
-	})
-	s.mu.Lock()
-	s.noteBackingErrLocked(err)
-	s.mu.Unlock()
 }
 
 // Blob fetches a blob by digest. The returned slice is the caller's to

@@ -1,11 +1,13 @@
 package image
 
 import (
+	"context"
 	"net/http"
 	"strings"
 	"testing"
 
 	"repro/internal/errno"
+	"repro/internal/tarutil"
 	"repro/internal/vfs"
 )
 
@@ -18,6 +20,36 @@ func baseFS(t *testing.T) *vfs.FS {
 	fs.MkdirAll(rc, "/bin", 0o755, 0, 0)
 	fs.WriteFile(rc, "/bin/sh", []byte("ELF"), 0o755, 0, 0)
 	return fs
+}
+
+// commitLayer derives newName from img by appending fs's diff against
+// img's flattened tree as one layer — the full-walk oracle (Snapshot both
+// trees, Diff, Pack) the engine's incremental commit must agree with. The
+// bool reports whether a layer was added.
+func commitLayer(img *Image, newName string, fs *vfs.FS) (*Image, bool, error) {
+	baseFS, err := img.Flatten()
+	if err != nil {
+		return nil, false, err
+	}
+	lower, err := tarutil.Snapshot(baseFS)
+	if err != nil {
+		return nil, false, err
+	}
+	upper, err := tarutil.Snapshot(fs)
+	if err != nil {
+		return nil, false, err
+	}
+	out := img.Clone(newName)
+	diff := tarutil.Diff(lower, upper)
+	if len(diff) == 0 {
+		return out, false, nil
+	}
+	data, err := tarutil.Pack(diff)
+	if err != nil {
+		return nil, false, err
+	}
+	out.Layers = append(out.Layers, Layer{Digest: Digest(data), Data: data})
+	return out, true, nil
 }
 
 func TestFromFSAndFlatten(t *testing.T) {
@@ -49,7 +81,7 @@ func TestCommitLayerAddsDiff(t *testing.T) {
 	fs, _ := img.Flatten()
 	rc := vfs.RootContext()
 	fs.WriteFile(rc, "/etc/new", []byte("new"), 0o644, 0, 0)
-	derived, added, err := img.CommitLayer("test:2", fs)
+	derived, added, err := commitLayer(img, "test:2", fs)
 	if err != nil || !added {
 		t.Fatalf("commit: added=%v err=%v", added, err)
 	}
@@ -62,7 +94,7 @@ func TestCommitLayerAddsDiff(t *testing.T) {
 		t.Fatal("committed file missing")
 	}
 	// No change → no layer.
-	same, added, err := derived.CommitLayer("test:3", fs2)
+	same, added, err := commitLayer(derived, "test:3", fs2)
 	if err != nil || added {
 		t.Fatalf("no-op commit: added=%v err=%v", added, err)
 	}
@@ -78,11 +110,11 @@ func TestStoreFlattenCache(t *testing.T) {
 	img, _ := FromFS("test:1", baseFS(t), Config{})
 	rc := vfs.RootContext()
 
-	a, err := s.Flatten(img)
+	a, err := s.FlattenContext(context.Background(), img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Flatten(img)
+	b, err := s.FlattenContext(context.Background(), img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +124,7 @@ func TestStoreFlattenCache(t *testing.T) {
 	if b.Exists(rc, "/etc/dirty") {
 		t.Fatal("flatten cache leaked a mutation between callers")
 	}
-	c, err := s.Flatten(img)
+	c, err := s.FlattenContext(context.Background(), img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,55 +136,12 @@ func TestStoreFlattenCache(t *testing.T) {
 	}
 }
 
-// TestStoreCommitLayer: the cached-lower commit path produces the same
-// image a plain CommitLayer does.
-func TestStoreCommitLayer(t *testing.T) {
-	s := NewStore()
-	img, _ := FromFS("test:1", baseFS(t), Config{})
-	rc := vfs.RootContext()
-
-	mutate := func() *vfs.FS {
-		fs, err := s.Flatten(img)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fs.WriteFile(rc, "/etc/new", []byte("new"), 0o644, 0, 0)
-		fs.Unlink(rc, "/etc/os-release")
-		return fs
-	}
-	viaStore, addedS, err := s.CommitLayer("test:2", img, mutate())
-	if err != nil || !addedS {
-		t.Fatalf("store commit: added=%v err=%v", addedS, err)
-	}
-	plain, addedP, err := img.CommitLayer("test:2", mutate())
-	if err != nil || !addedP {
-		t.Fatalf("plain commit: added=%v err=%v", addedP, err)
-	}
-	if len(viaStore.Layers) != len(plain.Layers) {
-		t.Fatalf("layer counts differ: %d vs %d", len(viaStore.Layers), len(plain.Layers))
-	}
-	// Same diff content (digests include mtimes, so compare entry paths).
-	fsS, _ := viaStore.Flatten()
-	fsP, _ := plain.Flatten()
-	if fsS.Exists(rc, "/etc/os-release") || fsP.Exists(rc, "/etc/os-release") {
-		t.Fatal("deletion lost in a commit path")
-	}
-	if !fsS.Exists(rc, "/etc/new") || !fsP.Exists(rc, "/etc/new") {
-		t.Fatal("addition lost in a commit path")
-	}
-	// No-op commit through the cache adds nothing.
-	fs, _ := s.Flatten(img)
-	if _, added, err := s.CommitLayer("test:3", img, fs); err != nil || added {
-		t.Fatalf("no-op store commit: added=%v err=%v", added, err)
-	}
-}
-
 func TestChainDigestDistinguishesChains(t *testing.T) {
 	img, _ := FromFS("test:1", baseFS(t), Config{})
 	fs, _ := img.Flatten()
 	vfsRC := vfs.RootContext()
 	fs.WriteFile(vfsRC, "/etc/new", []byte("x"), 0o644, 0, 0)
-	derived, _, err := img.CommitLayer("test:2", fs)
+	derived, _, err := commitLayer(img, "test:2", fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +158,7 @@ func TestLayerDeletionPropagates(t *testing.T) {
 	fs, _ := img.Flatten()
 	rc := vfs.RootContext()
 	fs.Unlink(rc, "/etc/os-release")
-	derived, added, err := img.CommitLayer("test:2", fs)
+	derived, added, err := commitLayer(img, "test:2", fs)
 	if err != nil || !added {
 		t.Fatal("deletion commit failed")
 	}
@@ -189,17 +178,13 @@ func TestStoreTagsAndBlobs(t *testing.T) {
 	if len(tags) != 2 || tags[0] != "a:1" || tags[1] != "b:2" {
 		t.Fatalf("tags: %v", tags)
 	}
-	got, ok := s.Get("a:1")
+	got, ok := s.GetContext(context.Background(), "a:1")
 	if !ok || got.Name != "a:1" {
 		t.Fatal("get failed")
 	}
 	blob, ok := s.Blob(img.Layers[0].Digest)
 	if !ok || len(blob) == 0 {
 		t.Fatal("blob missing")
-	}
-	s.Delete("a:1")
-	if _, ok := s.Get("a:1"); ok {
-		t.Fatal("delete failed")
 	}
 }
 
@@ -294,7 +279,7 @@ func TestPushPullRoundTrip(t *testing.T) {
 	})
 	fs, _ := img.Flatten()
 	fs.WriteFile(vfs.RootContext(), "/app", []byte("binary"), 0o755, 0, 0)
-	derived, _, err := img.CommitLayer("myapp:1.0", fs)
+	derived, _, err := commitLayer(img, "myapp:1.0", fs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package image
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -46,13 +47,13 @@ func TestStoreTagSurvivesProcess(t *testing.T) {
 	s1 := NewStore()
 	s1.SetBacking(openDir(t, root))
 	s1.Put(img)
-	if err := s1.BackingErr(); err != nil {
+	if err := errors.Join(s1.BackingErrs()...); err != nil {
 		t.Fatal(err)
 	}
 
 	s2 := NewStore()
 	s2.SetBacking(openDir(t, root))
-	got, ok := s2.Get("app:1")
+	got, ok := s2.GetContext(context.Background(), "app:1")
 	if !ok {
 		t.Fatal("persisted tag not found by fresh store")
 	}
@@ -71,11 +72,11 @@ func TestStoreTagSurvivesProcess(t *testing.T) {
 		t.Fatalf("content: %q", data)
 	}
 	// Second Get serves from memory (same pointer).
-	again, _ := s2.Get("app:1")
+	again, _ := s2.GetContext(context.Background(), "app:1")
 	if again != got {
 		t.Fatal("rehydrated image not cached in memory")
 	}
-	if _, ok := s2.Get("never:1"); ok {
+	if _, ok := s2.GetContext(context.Background(), "never:1"); ok {
 		t.Fatal("unknown tag resolved")
 	}
 }
@@ -89,24 +90,24 @@ func TestFlattenChainRehydrates(t *testing.T) {
 	s1 := NewStore()
 	s1.SetBacking(openDir(t, root))
 	s1.Put(img)
-	fs1, err := s1.Flatten(img)
+	fs1, err := s1.FlattenContext(context.Background(), img)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s1.FlattenFills() != 1 || s1.Rehydrates() != 0 {
 		t.Fatalf("process 1: fills=%d rehydrates=%d", s1.FlattenFills(), s1.Rehydrates())
 	}
-	if err := s1.BackingErr(); err != nil {
+	if err := errors.Join(s1.BackingErrs()...); err != nil {
 		t.Fatal(err)
 	}
 
 	s2 := NewStore()
 	s2.SetBacking(openDir(t, root))
-	img2, ok := s2.Get("app:1")
+	img2, ok := s2.GetContext(context.Background(), "app:1")
 	if !ok {
 		t.Fatal("tag lost")
 	}
-	fs2, err := s2.Flatten(img2)
+	fs2, err := s2.FlattenContext(context.Background(), img2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,9 +127,14 @@ func TestFlattenChainRehydrates(t *testing.T) {
 	if d := tarutil.Diff(sn1, sn2); len(d) != 0 {
 		t.Fatalf("rehydrated tree differs from filled tree: %d entries", len(d))
 	}
-	// CommitLayer against the rehydrated chain sees no phantom changes.
-	if _, added, err := s2.CommitLayer("noop:1", img2, fs2); err != nil || added {
-		t.Fatalf("phantom diff against rehydrated chain: added=%v err=%v", added, err)
+	// The rehydrated chain's cached lower snapshot sees no phantom changes
+	// against the tree it flattens to.
+	lower, err := s2.FlattenedEntriesContext(context.Background(), img2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := tarutil.Diff(lower, sn2); len(d) != 0 {
+		t.Fatalf("phantom diff against rehydrated chain: %d entries", len(d))
 	}
 }
 
@@ -145,17 +151,17 @@ func TestCorruptChainSnapshotFallsBackToFill(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs.WriteFile(vfs.RootContext(), "/etc/extra", []byte("layer two"), 0o644, 0, 0)
-	img, added, err := base.CommitLayer("app:1", fs)
+	img, added, err := commitLayer(base, "app:1", fs)
 	if err != nil || !added {
 		t.Fatalf("commit: added=%v err=%v", added, err)
 	}
 	s1 := NewStore()
 	s1.SetBacking(openDir(t, root))
 	s1.Put(img)
-	if _, err := s1.Flatten(img); err != nil {
+	if _, err := s1.FlattenContext(context.Background(), img); err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.BackingErr(); err != nil {
+	if err := errors.Join(s1.BackingErrs()...); err != nil {
 		t.Fatal(err)
 	}
 
@@ -187,11 +193,11 @@ func TestCorruptChainSnapshotFallsBackToFill(t *testing.T) {
 	}
 	s2 := NewStore()
 	s2.SetBacking(d2)
-	img2, ok := s2.Get("app:1")
+	img2, ok := s2.GetContext(context.Background(), "app:1")
 	if !ok {
 		t.Fatal("tag with intact layers lost")
 	}
-	if _, err := s2.Flatten(img2); err != nil {
+	if _, err := s2.FlattenContext(context.Background(), img2); err != nil {
 		t.Fatal(err)
 	}
 	if s2.FlattenFills() != 1 || s2.Rehydrates() != 0 {
@@ -210,32 +216,11 @@ func TestBackingAttachOrder(t *testing.T) {
 
 	s2 := NewStore()
 	s2.SetBacking(openDir(t, root))
-	if _, ok := s2.Get("early:1"); ok {
+	if _, ok := s2.GetContext(context.Background(), "early:1"); ok {
 		t.Fatal("pre-attach Put leaked to disk")
 	}
-	if _, ok := s2.Get("late:1"); !ok {
+	if _, ok := s2.GetContext(context.Background(), "late:1"); !ok {
 		t.Fatal("post-attach Put not persisted")
-	}
-}
-
-// Delete writes the untag through: without it, Get's backing fallback
-// would resurrect the tag from disk in the same process.
-func TestDeleteWritesThroughUntag(t *testing.T) {
-	root := t.TempDir()
-	s := NewStore()
-	s.SetBacking(openDir(t, root))
-	s.Put(testImage(t, "gone:1"))
-	s.Delete("gone:1")
-	if _, ok := s.Get("gone:1"); ok {
-		t.Fatal("deleted tag resurrected from backing in-process")
-	}
-	if err := s.BackingErr(); err != nil {
-		t.Fatal(err)
-	}
-	s2 := NewStore()
-	s2.SetBacking(openDir(t, root))
-	if _, ok := s2.Get("gone:1"); ok {
-		t.Fatal("deleted tag resurrected in the next process")
 	}
 }
 
@@ -264,7 +249,7 @@ func TestGCBackingDelegatesAndRecordsErrors(t *testing.T) {
 	if stats.BlobsSwept != 1 || stats.TagsKept != 1 {
 		t.Fatalf("stats: %+v", stats)
 	}
-	if err := s.BackingErr(); err != nil {
+	if err := errors.Join(s.BackingErrs()...); err != nil {
 		t.Fatalf("successful GC recorded an error: %v", err)
 	}
 
@@ -273,7 +258,7 @@ func TestGCBackingDelegatesAndRecordsErrors(t *testing.T) {
 	if _, err := s.GCBacking(context.Background(), cas.Budget{}); err == nil {
 		t.Fatal("GC on closed backing succeeded")
 	}
-	if err := s.BackingErr(); err == nil {
+	if err := errors.Join(s.BackingErrs()...); err == nil {
 		t.Fatal("GC failure not recorded as backing error")
 	}
 }

@@ -1,6 +1,7 @@
 package image
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -74,7 +75,7 @@ func (r *Registry) handle(w http.ResponseWriter, req *http.Request) {
 		name, tag := path[:i], path[i+len("/manifests/"):]
 		switch req.Method {
 		case http.MethodGet:
-			r.serveManifest(w, name, tag)
+			r.serveManifest(req.Context(), w, name, tag)
 		case http.MethodPut:
 			r.acceptManifest(w, req, name, tag)
 		default:
@@ -147,12 +148,12 @@ func (r *Registry) acceptManifest(w http.ResponseWriter, req *http.Request, name
 		}
 		img.Layers = append(img.Layers, Layer{Digest: l.Digest, Data: data})
 	}
-	r.store.Put(img)
+	r.store.PutContext(req.Context(), img)
 	w.WriteHeader(http.StatusCreated)
 }
 
-func (r *Registry) serveManifest(w http.ResponseWriter, name, tag string) {
-	img, ok := r.store.Get(name + ":" + tag)
+func (r *Registry) serveManifest(ctx context.Context, w http.ResponseWriter, name, tag string) {
+	img, ok := r.store.GetContext(ctx, name+":"+tag)
 	if !ok {
 		http.Error(w, "manifest unknown", http.StatusNotFound)
 		return
