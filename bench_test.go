@@ -532,15 +532,8 @@ COPY --from=assets /srv/assets /app/assets
 		b.Helper()
 		world := pkgmgr.NewWorld()
 		store := image.NewStore()
-		for _, d := range []struct{ distro, name string }{
-			{pkgmgr.DistroCentOS7, "centos:7"},
-			{pkgmgr.DistroAlpine, "alpine:3.19"},
-		} {
-			img, err := world.BaseImage(d.distro, d.name)
-			if err != nil {
-				b.Fatal(err)
-			}
-			store.Put(img)
+		if err := world.Seed(store); err != nil {
+			b.Fatal(err)
 		}
 		return store, world
 	}

@@ -119,16 +119,8 @@ func seededStore(w *pkgmgr.World, d *cas.Dir) (*image.Store, error) {
 	if d != nil {
 		s.SetBacking(d)
 	}
-	for _, db := range []struct{ distro, name string }{
-		{pkgmgr.DistroAlpine, "alpine:3.19"},
-		{pkgmgr.DistroCentOS7, "centos:7"},
-		{pkgmgr.DistroDebian, "debian:12"},
-	} {
-		img, err := w.BaseImage(db.distro, db.name)
-		if err != nil {
-			return nil, err
-		}
-		s.Put(img)
+	if err := w.Seed(s); err != nil {
+		return nil, err
 	}
 	return s, nil
 }

@@ -17,16 +17,8 @@ func fixtures(t *testing.T) (*pkgmgr.World, *image.Store) {
 	t.Helper()
 	w := pkgmgr.NewWorld()
 	s := image.NewStore()
-	for _, d := range []struct{ distro, name string }{
-		{pkgmgr.DistroAlpine, "alpine:3.19"},
-		{pkgmgr.DistroCentOS7, "centos:7"},
-		{pkgmgr.DistroDebian, "debian:12"},
-	} {
-		img, err := w.BaseImage(d.distro, d.name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Put(img)
+	if err := w.Seed(s); err != nil {
+		t.Fatal(err)
 	}
 	return w, s
 }

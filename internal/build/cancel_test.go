@@ -16,7 +16,7 @@ import (
 
 // Acceptance: cancelling a cold 16-job pool returns every worker within
 // one instruction boundary. Each job is parked at its first boundary by
-// the test gate; after the cancel, no job may cross another boundary —
+// a Progress gate; after the cancel, no job may cross another boundary —
 // the gate counter stays at exactly one crossing per job.
 func TestPoolCancelReturnsWithinOneBoundary(t *testing.T) {
 	const n = 16
@@ -28,7 +28,7 @@ func TestPoolCancelReturnsWithinOneBoundary(t *testing.T) {
 	var boundaries atomic.Int64
 	var parked sync.WaitGroup
 	parked.Add(n)
-	gate := func(gctx context.Context, cmd string) {
+	gate := func(gctx context.Context, ev ProgressEvent) {
 		boundaries.Add(1)
 		parked.Done()
 		<-gctx.Done()
@@ -39,7 +39,7 @@ func TestPoolCancelReturnsWithinOneBoundary(t *testing.T) {
 		opt := Options{
 			Tag: "cancelled", Force: ForceSeccomp,
 			Store: s, World: w, Cache: cache,
-			testStepGate: gate,
+			Progress: gate,
 		}
 		jobs[i] = Job{Name: "job", Dockerfile: echoDockerfile, Options: opt}
 	}
@@ -85,16 +85,16 @@ func TestPoolFailFastCancelsInFlightSiblings(t *testing.T) {
 
 	failerOpt := Options{
 		Tag: "failer", Force: ForceSeccomp, Store: s, World: w, Cache: cache,
-		testStepGate: func(gctx context.Context, cmd string) {
-			if cmd == "RUN" {
+		Progress: func(gctx context.Context, ev ProgressEvent) {
+			if ev.Cmd == "RUN" {
 				<-victimParked
 			}
 		},
 	}
 	victimOpt := Options{
 		Tag: "victim", Force: ForceSeccomp, Store: s, World: w, Cache: cache,
-		testStepGate: func(gctx context.Context, cmd string) {
-			if cmd == "RUN" {
+		Progress: func(gctx context.Context, ev ProgressEvent) {
+			if ev.Cmd == "RUN" {
 				once.Do(func() { close(victimParked) })
 				<-gctx.Done()
 			}
@@ -138,8 +138,8 @@ func TestBuildTimeoutFailsWithDeadlineError(t *testing.T) {
 	opt := Options{
 		Tag: "t:1", Force: ForceSeccomp, Store: s, World: w,
 		BuildTimeout: 20 * time.Millisecond,
-		testStepGate: func(gctx context.Context, cmd string) {
-			if cmd == "RUN" {
+		Progress: func(gctx context.Context, ev ProgressEvent) {
+			if ev.Cmd == "RUN" {
 				<-gctx.Done() // hold the build past its deadline
 			}
 		},

@@ -149,8 +149,10 @@ func WithVerify(m VerifyMode) Option {
 }
 
 // WithLockWait bounds how long this handle's exclusive operations (GC,
-// Reset, journal compaction) wait for the store lock before failing with
-// ErrBusy (default DefaultLockWait; <= 0 tries once).
+// Reset, re-compacting a journal a peer replaced) wait for the store
+// lock before failing with ErrBusy (default DefaultLockWait; <= 0 tries
+// once). Open's own compaction of a damaged journal never waits: it
+// tries the lock once and otherwise degrades (see Open).
 func WithLockWait(wait time.Duration) Option {
 	return func(c *openConfig) { c.lockWait = wait }
 }
@@ -268,12 +270,15 @@ func Open(root string, opts ...Option) (*Dir, Report, error) {
 		// and re-warned about at every open). Rewrite it to exactly the
 		// surviving records — atomically, like GC's compaction, under the
 		// exclusive lock so no concurrent append lands between our read
-		// of the journal and the rename that replaces it.
-		//chlint:allow ctxfirst -- open-time torn-tail repair; Open has no caller context, wait is bounded by lockWait
-		switch err := d.lock.exclusive(context.Background(), d.lockWait); {
+		// of the journal and the rename that replaces it. The lock is
+		// tried once, never waited for: a peer holding the store open (a
+		// resident ch-imaged always does) only means this open degrades
+		// now and a later uncontended open compacts.
+		//chlint:allow ctxfirst -- open-time torn-tail repair; Open has no caller context and the try is non-blocking
+		switch err := d.lock.exclusive(context.Background(), 0); {
 		case err == nil:
-			// Appends may have landed while we waited for the lock;
-			// recompute the surviving set from the current journal.
+			// Appends may have landed between our read of the journal and
+			// the lock; recompute the surviving set from the current one.
 			if err := d.reloadJournalLocked(); err != nil {
 				return fail(err)
 			}

@@ -4,8 +4,11 @@ package cas
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -48,6 +51,71 @@ func TestGCBusyWhileSecondHandleOpen(t *testing.T) {
 	}
 	if _, ok := d2.Step("after-busy"); ok {
 		t.Fatal("untagged step survived a full-sweep GC")
+	}
+}
+
+// Open-time compaction never waits for peers: with another handle
+// holding the store open, as a resident daemon always does, opening a
+// torn journal degrades at once instead of waiting out the lock. The
+// torn line is quarantined, appends keep working, and a later open with
+// no peer compacts the journal for good.
+func TestDamagedOpenWithPeerDoesNotWait(t *testing.T) {
+	root := t.TempDir()
+	d1, _ := openT(t, root)
+	if err := d1.PutStep(ctx, "good", []byte("bytes"), 0); err != nil {
+		t.Fatal(err)
+	}
+	// Simulate a crash mid-append while d1 holds the store open.
+	j := filepath.Join(root, "journal")
+	f, err := os.OpenFile(j, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprint(f, `deadbeef {"t":"step","key":"half`)
+	f.Close()
+
+	start := time.Now()
+	d2, rep, err := Open(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if took := time.Since(start); took > DefaultLockWait/10 {
+		t.Fatalf("damaged open with a peer took %v; it must not wait for the lock", took)
+	}
+	if rep.JournalQuarantined != 1 {
+		t.Fatalf("quarantined %d lines, want 1 (%+v)", rep.JournalQuarantined, rep)
+	}
+	if _, ok := d2.Step("good"); !ok {
+		t.Fatal("intact record lost")
+	}
+	if err := d2.PutStep(ctx, "after", nil, 0); err != nil {
+		t.Fatalf("append after degraded open: %v", err)
+	}
+	if err := d1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The degraded open left the fragment as a standalone bad line; the
+	// first uncontended open quarantines it once more and compacts.
+	d3, _ := openT(t, root)
+	if err := d3.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(j); err != nil || strings.Contains(string(data), "half") {
+		t.Fatalf("uncontended open did not compact the journal (err %v):\n%s", err, data)
+	}
+	d4, rep4 := openT(t, root)
+	if rep4.Quarantined() {
+		t.Fatalf("damage reported after compaction: %+v", rep4)
+	}
+	for _, key := range []string{"good", "after"} {
+		if _, ok := d4.Step(key); !ok {
+			t.Fatalf("record %q lost across degraded open and compaction", key)
+		}
 	}
 }
 

@@ -141,23 +141,13 @@ func New(cfg Config) (*Daemon, error) {
 			dir.SetFailpoints(cfg.Faults)
 		}
 	}
-	// Backing attaches before seeding so base blobs and tags persist
-	// (the seededStore rule from cmd/ch-image).
+	// Backing attaches before seeding so base blobs and tags persist.
 	store := image.NewStore()
 	if d.dir != nil {
 		store.SetBacking(d.dir)
 	}
-	for _, db := range []struct{ distro, name string }{
-		{pkgmgr.DistroAlpine, "alpine:3.19"},
-		{pkgmgr.DistroCentOS7, "centos:7"},
-		{pkgmgr.DistroDebian, "debian:12"},
-	} {
-		img, err := d.world.BaseImage(db.distro, db.name)
-		if err != nil {
-			closeErr := d.closeDir()
-			return nil, errors.Join(fmt.Errorf("daemon: seed %s: %w", db.name, err), closeErr)
-		}
-		store.Put(img)
+	if err := d.world.Seed(store); err != nil {
+		return nil, errors.Join(fmt.Errorf("daemon: %w", err), d.closeDir())
 	}
 	d.store = store
 	if d.dir != nil {

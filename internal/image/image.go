@@ -434,7 +434,7 @@ func (s *Store) GCBacking(ctx context.Context, b cas.Budget) (cas.GCStats, error
 // Put is PutContext for seeding base images at setup, where there is no
 // caller context to thread.
 func (s *Store) Put(img *Image) {
-	//chlint:allow ctxfirst -- setup-time seeding: daemon.New and the benchmark harness seed base images with no caller context
+	//chlint:allow ctxfirst -- setup-time seeding: pkgmgr.World.Seed, the examples and the benchmark harness seed base images with no caller context
 	s.PutContext(context.Background(), img)
 }
 

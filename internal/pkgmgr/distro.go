@@ -162,6 +162,26 @@ func (w *World) BaseImage(distro, name string) (*image.Image, error) {
 	})
 }
 
+// Seed tags the stock base images (alpine:3.19, centos:7, debian:12)
+// into s — the images every build can name in FROM. Attach s's backing
+// store first: seeding writes through only to a backing already
+// attached, so seeding before the attach leaves the base blobs and tags
+// off disk.
+func (w *World) Seed(s *image.Store) error {
+	for _, b := range []struct{ distro, name string }{
+		{DistroAlpine, "alpine:3.19"},
+		{DistroCentOS7, "centos:7"},
+		{DistroDebian, "debian:12"},
+	} {
+		img, err := w.BaseImage(b.distro, b.name)
+		if err != nil {
+			return fmt.Errorf("seed %s: %w", b.name, err)
+		}
+		s.Put(img)
+	}
+	return nil
+}
+
 // populateAlpine: the Fig. 1a workload. Every file is root:root, so apk
 // needs no chown at all.
 func populateAlpine(r *Repo) {
