@@ -40,10 +40,12 @@ race:
 # persistent-cache claim (a warm-from-disk invocation with completely
 # fresh in-memory state lands far under a cold one, approaching the
 # in-memory warm rebuild) stays recorded run over run.
-# BenchmarkCacheOpen lands in BENCH_cas.{txt,json}: the --cache-verify
-# claim (a lazy open of a large store skips the O(store bytes) fsck and
-# lands far — at least 5× — under the full-verify open) stays recorded
-# run over run.
+# BenchmarkCacheOpen lands in BENCH_cas.{txt,json}, five samples per
+# row: the --cache-verify claim (a lazy open of a large store skips the
+# O(store bytes) fsck, which full-verify spreads over GOMAXPROCS workers,
+# and lands about 6× under the full-verify open on a 2-core host; the
+# ratio is recorded, not gated) plus the cli-warm-shaped small-store open
+# stay recorded run over run.
 # BenchmarkObsOverhead lands in BENCH_obs.{txt,json}: the observability
 # instrumentation's cost on the warm build path, instrumented vs
 # obs.SetDisabled — the <3% acceptance ceiling in docs/observability.md
@@ -61,7 +63,7 @@ bench:
 	go test -bench=BenchmarkBuildPersistent -benchtime=5x -run='^$$' . > BENCH_persistent.txt; \
 		status=$$?; cat BENCH_persistent.txt; exit $$status
 	go run ./cmd/benchjson < BENCH_persistent.txt > BENCH_persistent.json
-	go test -bench=BenchmarkCacheOpen -benchtime=5x -run='^$$' . > BENCH_cas.txt; \
+	go test -bench=BenchmarkCacheOpen -benchtime=5x -count=5 -run='^$$' . > BENCH_cas.txt; \
 		status=$$?; cat BENCH_cas.txt; exit $$status
 	go run ./cmd/benchjson < BENCH_cas.txt > BENCH_cas.json
 	go test -bench=BenchmarkObsOverhead -benchtime=5x -run='^$$' . > BENCH_obs.txt; \

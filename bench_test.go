@@ -24,6 +24,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/baseline"
@@ -719,58 +720,90 @@ func BenchmarkRegistryPushPull(b *testing.B) {
 
 // BenchmarkCacheOpen (the --cache-verify claim): opening a large store
 // with the default full-verify fsck is O(store bytes) — every blob read
-// back and re-hashed — while a lazy open is O(journal lines). Over a
-// synthetic 256-blob × 64 KiB store the lazy open must land far (≥5×)
-// under the full one; BENCH_cas.{txt,json} record the gap run over run.
-// Each open also touches one step so the benchmark can't pass with a
-// handle that skipped loading the journal.
+// back and re-hashed, spread over GOMAXPROCS workers — while a lazy open
+// is O(journal lines). Over a synthetic 256-blob × 64 KiB store
+// (full-verify, lazy) the lazy open lands far under the full one;
+// BENCH_cas.{txt,json} record the gap run over run. The cli-warm pair
+// opens a store shaped like ch-bench's cli-warm one (~140 blobs of
+// 1–16 KiB over ~100 shards plus 64 three-layer tags), where the open's
+// fixed costs (shard listing, journal decode, presence checks) weigh
+// more than bytes hashed. Each open also touches one step so the
+// benchmark can't pass with a handle that skipped loading the journal.
 func BenchmarkCacheOpen(b *testing.B) {
-	const (
-		blobCount = 256
-		blobSize  = 64 << 10
-	)
-	root := b.TempDir() + "/cas"
-	d, _, err := cas.Open(root)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < blobCount; i++ {
-		layer := make([]byte, blobSize)
-		copy(layer, fmt.Sprintf("blob-%d", i))
-		if err := d.PutStep(context.Background(), fmt.Sprintf("step-%d", i), layer, 0); err != nil {
-			b.Fatal(err)
+	bg := context.Background()
+	large := func(b *testing.B, d *cas.Dir) int {
+		const blobs = 256
+		for i := 0; i < blobs; i++ {
+			layer := make([]byte, 64<<10)
+			copy(layer, fmt.Sprintf("blob-%d", i))
+			if err := d.PutStep(bg, fmt.Sprintf("step-%d", i), layer, 0); err != nil {
+				b.Fatal(err)
+			}
 		}
+		return blobs
 	}
-	if err := d.Close(); err != nil {
-		b.Fatal(err)
+	cliWarm := func(b *testing.B, d *cas.Dir) int {
+		const blobs, tags = 140, 64
+		digests := make([]string, blobs)
+		for i := range digests {
+			layer := make([]byte, (1+i*7%16)<<10)
+			copy(layer, fmt.Sprintf("blob-%d", i))
+			if err := d.PutStep(bg, fmt.Sprintf("step-%d", i), layer, 0); err != nil {
+				b.Fatal(err)
+			}
+			st, _ := d.Step(fmt.Sprintf("step-%d", i))
+			digests[i] = st.Layer
+		}
+		config := []byte(`{"env":["PATH=/usr/bin"],"cmd":["/bin/sh"],"pad":"` + strings.Repeat("x", 256) + `"}`)
+		for i := 0; i < tags; i++ {
+			layers := []string{digests[i%blobs], digests[(i+tags)%blobs], digests[(i*3+1)%blobs]}
+			if err := d.PutTag(bg, fmt.Sprintf("app-%d:latest", i), layers, config); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return blobs
 	}
-
-	open := func(b *testing.B, mode cas.VerifyMode, wantChecked int) {
-		b.Helper()
-		d, _, err := cas.Open(root, cas.WithVerify(mode))
+	for _, store := range []struct {
+		name string
+		fill func(*testing.B, *cas.Dir) int
+	}{{"", large}, {"cli-warm/", cliWarm}} {
+		root := b.TempDir() + "/cas"
+		d, _, err := cas.Open(root)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if got := d.Report().BlobsChecked; got != wantChecked {
-			b.Fatalf("BlobsChecked=%d, want %d", got, wantChecked)
-		}
-		if _, ok := d.Step("step-0"); !ok {
-			b.Fatal("journal not loaded")
-		}
+		blobCount := store.fill(b, d)
 		if err := d.Close(); err != nil {
 			b.Fatal(err)
 		}
+
+		open := func(b *testing.B, mode cas.VerifyMode, wantChecked int) {
+			b.Helper()
+			d, _, err := cas.Open(root, cas.WithVerify(mode))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if got := d.Report().BlobsChecked; got != wantChecked {
+				b.Fatalf("BlobsChecked=%d, want %d", got, wantChecked)
+			}
+			if _, ok := d.Step("step-0"); !ok {
+				b.Fatal("journal not loaded")
+			}
+			if err := d.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.Run(store.name+"full-verify", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				open(b, cas.VerifyFull, blobCount)
+			}
+		})
+		b.Run(store.name+"lazy", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				open(b, cas.VerifyLazy, 0)
+			}
+		})
 	}
-	b.Run("full-verify", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			open(b, cas.VerifyFull, blobCount)
-		}
-	})
-	b.Run("lazy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			open(b, cas.VerifyLazy, 0)
-		}
-	})
 }

@@ -13,10 +13,9 @@ import (
 //     drop on refactors;
 //  2. library code never calls context.Background() or context.TODO():
 //     a context manufactured mid-stack silently detaches the work from
-//     the caller's cancellation and deadlines. The few roots that
-//     genuinely have no caller context (cas.Open's open-time repair,
-//     Store.Put's setup-time seeding) each carry a //chlint:allow
-//     ctxfirst annotation giving the reason.
+//     the caller's cancellation and deadlines. A root that genuinely
+//     has no caller context (Store.Put's setup-time seeding) carries a
+//     //chlint:allow ctxfirst annotation giving the reason.
 var CtxFirst = &Analyzer{
 	Name: "ctxfirst",
 	Doc:  "context.Context parameters come first; context.Background() only at annotated roots with no caller context",

@@ -143,8 +143,11 @@ func (p *Pool) serveLoop(submit <-chan *serviceJob, stop <-chan struct{}) {
 			return
 		case sj := <-submit:
 			p.noteJob(1)
-			sj.done <- runJob(sj.ctx, sj.job, "job")
+			res := runJob(sj.ctx, sj.job, "job")
+			// Settle the count before delivering: a caller holding every
+			// result must read InFlight() == 0.
 			p.noteJob(-1)
+			sj.done <- res
 		}
 	}
 }

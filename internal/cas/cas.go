@@ -38,6 +38,7 @@ package cas
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -244,9 +245,9 @@ func Open(root string, opts ...Option) (*Dir, Report, error) {
 	// nothing references them (a rename never happened), so clear them.
 	// Only under an uncontended exclusive lock, though: with the store
 	// open elsewhere, a temp file may be another process's in-flight blob
-	// write, and deleting it would fail that write's rename.
-	//chlint:allow ctxfirst -- open-time cleanup; Open has no caller context and the try is non-blocking
-	if d.lock.exclusive(context.Background(), 0) == nil {
+	// write, and deleting it would fail that write's rename. A refused or
+	// failed try only skips the sweep: tryExclusive re-shares either way.
+	if ok, _ := d.lock.tryExclusive(); ok {
 		if tmps, err := os.ReadDir(d.path("tmp")); err == nil {
 			for _, t := range tmps {
 				os.Remove(filepath.Join(d.path("tmp"), t.Name()))
@@ -256,13 +257,19 @@ func Open(root string, opts ...Option) (*Dir, Report, error) {
 			return fail(err)
 		}
 	}
-	if d.verify == VerifyFull {
-		d.fsckBlobsLocked()
+	// One parallel pass reads the store (see scanStore); its verdicts are
+	// applied here, on Open's goroutine, once every worker is done.
+	sc := scanStore(root, d.verify == VerifyFull)
+	d.report.BlobsChecked += sc.checked
+	for _, c := range sc.corrupt {
+		d.quarantine(c.path, "blob-"+c.name)
+		d.report.BlobsQuarantined++
 	}
-	if err := d.loadJournalLocked(); err != nil {
-		return fail(err)
+	if sc.journalErr != nil {
+		return fail(sc.journalErr)
 	}
-	d.dropDanglingRecordsLocked()
+	d.applyJournalLocked(sc.journal)
+	d.dropDanglingRecordsLocked(sc.present)
 	if d.report.JournalQuarantined > 0 || d.report.RecordsDropped > 0 {
 		// The journal holds damage: a torn tail fragment (which a plain
 		// O_APPEND write would merge with, corrupting the next record) or
@@ -274,9 +281,10 @@ func Open(root string, opts ...Option) (*Dir, Report, error) {
 		// tried once, never waited for: a peer holding the store open (a
 		// resident ch-imaged always does) only means this open degrades
 		// now and a later uncontended open compacts.
-		//chlint:allow ctxfirst -- open-time torn-tail repair; Open has no caller context and the try is non-blocking
-		switch err := d.lock.exclusive(context.Background(), 0); {
-		case err == nil:
+		switch ok, err := d.lock.tryExclusive(); {
+		case err != nil:
+			return fail(err)
+		case ok:
 			// Appends may have landed between our read of the journal and
 			// the lock; recompute the surviving set from the current one.
 			if err := d.reloadJournalLocked(); err != nil {
@@ -290,7 +298,7 @@ func Open(root string, opts ...Option) (*Dir, Report, error) {
 				return fail(err)
 			}
 			return d, d.report, nil
-		case errors.Is(err, ErrBusy):
+		default:
 			// Peers hold the store open; compaction must wait for a later
 			// open. Degrade: terminate any torn tail with a bare newline so
 			// O_APPEND writes cannot merge with the fragment (the fragment
@@ -301,8 +309,6 @@ func Open(root string, opts ...Option) (*Dir, Report, error) {
 					return fail(err)
 				}
 			}
-		default:
-			return fail(err)
 		}
 	}
 	f, err := os.OpenFile(d.path("journal"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -350,10 +356,12 @@ func (d *Dir) reloadJournalLocked() error {
 	d.report.JournalLines = 0
 	d.report.JournalQuarantined = 0
 	d.report.RecordsDropped = 0
-	if err := d.loadJournalLocked(); err != nil {
+	js, err := scanJournal(d.path("journal"))
+	if err != nil {
 		return err
 	}
-	d.dropDanglingRecordsLocked()
+	d.applyJournalLocked(js)
+	d.dropDanglingRecordsLocked(nil)
 	return nil
 }
 
@@ -400,49 +408,15 @@ func (d *Dir) blobPath(digest string) (string, error) {
 	return d.path("blobs", "sha256", hexpart[:2], hexpart[2:]), nil
 }
 
-// walkBlobs visits every file in the sharded blob directory — the one
-// traversal fsck, stats and GC all share, so a layout change lands in one
+// walkBlobs visits every file in the sharded blob directory, serially —
+// the traversal stats and GC share. Open's fsck walks the same shards in
+// parallel; both go through walkShard, so a layout change lands in one
 // place.
 func (d *Dir) walkBlobs(visit func(digest, path string, ent os.DirEntry)) {
-	shards, err := os.ReadDir(d.path("blobs", "sha256"))
-	if err != nil {
-		return
+	dir := d.path("blobs", "sha256")
+	for _, shard := range blobShards(dir) {
+		walkShard(dir, shard, visit)
 	}
-	for _, shard := range shards {
-		if !shard.IsDir() {
-			continue
-		}
-		files, err := os.ReadDir(d.path("blobs", "sha256", shard.Name()))
-		if err != nil {
-			continue
-		}
-		for _, f := range files {
-			visit(DigestPrefix+shard.Name()+f.Name(),
-				d.path("blobs", "sha256", shard.Name(), f.Name()), f)
-		}
-	}
-}
-
-// fsckBlobsLocked digest-verifies every blob file against its name and
-// quarantines mismatches (truncated writes, flipped bits, renamed files).
-//
-//chlint:allow failpointcover -- open-time verification; a read failure here already quarantines, the soak faults OpBlobRead on the serving path
-func (d *Dir) fsckBlobsLocked() {
-	d.walkBlobs(func(digest, p string, _ os.DirEntry) {
-		d.report.BlobsChecked++
-		data, err := os.ReadFile(p)
-		if err != nil {
-			// Unreadable is not the same as corrupt: a transient
-			// EMFILE/EIO must not destroy a healthy blob. Leave it;
-			// Blob() digest-verifies again at use time.
-			return
-		}
-		if Sum(data) == digest {
-			return
-		}
-		d.quarantine(p, "blob-"+strings.TrimPrefix(digest, DigestPrefix))
-		d.report.BlobsQuarantined++
-	})
 }
 
 // quarantine moves a damaged file aside, preserving it for post-mortems
@@ -465,65 +439,26 @@ func (d *Dir) quarantine(p, as string) {
 	}
 }
 
-// loadJournalLocked replays the journal into the in-memory maps. Each line is
-// "<sha256-hex-of-payload> <payload-json>"; lines that fail the checksum
-// (torn tail, bit rot) are appended to quarantine/journal.bad and skipped.
-//
-//chlint:allow failpointcover -- open-time journal replay; recovery behavior under partial reads is exercised by the torn-tail corpus, not failpoints
-func (d *Dir) loadJournalLocked() error {
-	data, err := os.ReadFile(d.path("journal"))
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("cas: journal: %w", err)
-	}
-	var bad []string
-	lines := strings.Split(string(data), "\n")
-	// A journal not ending in '\n' has a torn final line; Split leaves the
-	// fragment (or "") as the last element, and the checksum rejects it.
-	// Remember the tear: the degraded-open path (compaction lock busy)
+// applyJournalLocked replays a journal scan into the in-memory maps and
+// appends the lines that failed the checksum (torn tail, bit rot) to
+// quarantine/journal.bad.
+func (d *Dir) applyJournalLocked(js journalScan) {
+	d.report.JournalLines += js.lines
+	d.report.JournalQuarantined += len(js.bad)
+	// Remember a torn tail: the degraded-open path (compaction lock busy)
 	// must terminate it before any O_APPEND write can merge with it.
-	d.tornTail = len(data) > 0 && data[len(data)-1] != '\n'
-	for _, line := range lines {
-		if line == "" {
-			continue
-		}
-		d.report.JournalLines++
-		rec, ok := decodeLine(line)
-		if !ok {
-			bad = append(bad, line)
-			d.report.JournalQuarantined++
-			continue
-		}
+	d.tornTail = js.tornTail
+	for _, rec := range js.records {
 		d.applyLocked(rec)
 	}
-	if len(bad) > 0 {
+	if len(js.bad) > 0 {
 		f, err := os.OpenFile(d.path("quarantine", "journal.bad"),
 			os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err == nil {
-			fmt.Fprintln(f, strings.Join(bad, "\n"))
+			f.Write(append(bytes.Join(js.bad, []byte("\n")), '\n'))
 			f.Close()
 		}
 	}
-	return nil
-}
-
-// decodeLine parses and checksum-verifies one journal line.
-func decodeLine(line string) (record, bool) {
-	sum, payload, ok := strings.Cut(line, " ")
-	if !ok || len(sum) != 64 {
-		return record{}, false
-	}
-	h := sha256.Sum256([]byte(payload))
-	if hex.EncodeToString(h[:]) != sum {
-		return record{}, false
-	}
-	var rec record
-	if json.Unmarshal([]byte(payload), &rec) != nil {
-		return record{}, false
-	}
-	return rec, true
 }
 
 // applyLocked folds one validated record into the in-memory state. Later records
@@ -562,16 +497,30 @@ func (d *Dir) applyLocked(rec record) {
 // is gone cannot load, a chain whose snapshot is gone cannot rehydrate.
 // When anything is dropped, Open compacts the journal immediately, so the
 // damage is reported once, not at every subsequent open.
-func (d *Dir) dropDanglingRecordsLocked() {
+//
+// present holds digests already known to be on disk (the blobs the fsck
+// pass just verified; nil for none). A digest missing from it falls back
+// to a stat, so a blob a peer wrote after the walk still counts, and each
+// positive stat is memoised: every distinct blob costs at most one stat.
+func (d *Dir) dropDanglingRecordsLocked(present map[string]bool) {
+	if present == nil {
+		present = map[string]bool{}
+	}
+	has := func(digest string) bool {
+		if !present[digest] && d.hasBlobLocked(digest) {
+			present[digest] = true
+		}
+		return present[digest]
+	}
 	for key, st := range d.steps {
-		if st.Layer != "" && !d.hasBlobLocked(st.Layer) {
+		if st.Layer != "" && !has(st.Layer) {
 			delete(d.steps, key)
 			d.report.RecordsDropped++
 		}
 	}
 	for name, tg := range d.tags {
 		for _, l := range tg.Layers {
-			if !d.hasBlobLocked(l) {
+			if !has(l) {
 				delete(d.tags, name)
 				d.report.RecordsDropped++
 				break
@@ -579,9 +528,9 @@ func (d *Dir) dropDanglingRecordsLocked() {
 		}
 	}
 	for key, ch := range d.chains {
-		ok := d.hasBlobLocked(ch.Snap)
+		ok := has(ch.Snap)
 		for _, l := range ch.Layers {
-			ok = ok && d.hasBlobLocked(l)
+			ok = ok && has(l)
 		}
 		if !ok {
 			delete(d.chains, key)

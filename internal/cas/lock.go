@@ -61,9 +61,12 @@ func openLock(path string) (*storeLock, error) {
 
 // exclusive converts the held shared lock to exclusive, polling for up
 // to wait (wait <= 0 tries once) or until ctx is done. On timeout it
-// restores the shared lock and returns ErrBusy; on cancellation it does
-// the same and returns the context error. The caller's handle stays
-// fully usable either way.
+// restores the shared lock, counts the refusal in ch_cas_busy_total and
+// returns ErrBusy; on cancellation it does the same minus the count and
+// returns the context error. The caller's handle stays fully usable
+// either way. Only the operations whose ErrBusy reaches a caller (GC,
+// Reset, orphaned-journal recompaction) come here; Open's opportunistic
+// maintenance uses tryExclusive.
 func (l *storeLock) exclusive(ctx context.Context, wait time.Duration) error {
 	start := time.Now()
 	deadline := start.Add(wait)
@@ -94,6 +97,25 @@ func (l *storeLock) exclusive(ctx context.Context, wait time.Duration) error {
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
+}
+
+// tryExclusive makes one nonblocking exclusive conversion for Open's
+// opportunistic maintenance (the tmp sweep, damaged-journal compaction).
+// A refusal restores the shared lock and reports false; it is not
+// counted as busy, because nothing failed: the open just leaves the
+// maintenance to a later uncontended one.
+func (l *storeLock) tryExclusive() (bool, error) {
+	start := time.Now()
+	ok, err := flockExclusiveNB(l.f)
+	mFlockWaitSeconds.ObserveSince(start)
+	switch {
+	case err != nil:
+		l.reshare()
+		return false, fmt.Errorf("cas: lock: %w", err)
+	case ok:
+		return true, nil
+	}
+	return false, l.reshare()
 }
 
 // shared converts the lock back to shared after an exclusive section.

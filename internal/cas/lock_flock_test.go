@@ -54,6 +54,35 @@ func TestGCBusyWhileSecondHandleOpen(t *testing.T) {
 	}
 }
 
+// ch_cas_busy_total counts only ErrBusy that reaches a caller. A second
+// Open beside a peer tries the exclusive lock for its tmp sweep and is
+// refused, but nothing failed, so the count must not move; a GC that
+// cannot wait returns ErrBusy and counts exactly once.
+func TestBusyCountsOnlyFailedOperations(t *testing.T) {
+	root := t.TempDir()
+	d1, _ := openT(t, root)
+	if err := d1.PutStep(ctx, "warm", []byte("layer"), 0); err != nil {
+		t.Fatal(err)
+	}
+
+	before := mBusy.Value()
+	d2, _, err := Open(root, WithLockWait(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if got := mBusy.Value() - before; got != 0 {
+		t.Fatalf("healthy open beside a peer added %d to ch_cas_busy_total, want 0", got)
+	}
+
+	if _, err := d2.GC(ctx, Budget{}); !errors.Is(err, ErrBusy) {
+		t.Fatalf("GC with peer open: err = %v, want ErrBusy", err)
+	}
+	if got := mBusy.Value() - before; got != 1 {
+		t.Fatalf("GC refused with ErrBusy added %d to ch_cas_busy_total, want 1", got)
+	}
+}
+
 // Open-time compaction never waits for peers: with another handle
 // holding the store open, as a resident daemon always does, opening a
 // torn journal degrades at once instead of waiting out the lock. The

@@ -19,7 +19,7 @@ var (
 	mFlockWaitSeconds = obs.NewHistogram("ch_cas_flock_wait_seconds",
 		"Time spent waiting for the exclusive store flock (granted or not).", obs.DefBuckets)
 	mBusy = obs.NewCounter("ch_cas_busy_total",
-		"Exclusive lock attempts that timed out with ErrBusy.")
+		"Exclusive store operations (GC, Reset, journal recompaction) that failed with ErrBusy.")
 	mRetries = obs.NewCounter("ch_cas_retries_total",
 		"Retries of transient cas failures (attempts beyond the first).")
 	mGCSweptBlobs = obs.NewCounter("ch_cas_gc_swept_blobs_total",

@@ -264,12 +264,15 @@ func (d *Daemon) Submit(ctx context.Context, req BuildRequest) (*operation, erro
 		created: time.Now(),
 		status:  StatusQueued,
 	}
+	// Register before queueing: a warm build can settle before this
+	// goroutine runs again, and noteTerminal ignores an ID the registry
+	// does not hold, so a late add would keep the operation past the
+	// retention cap forever.
+	d.reg.add(op)
 	// The admission counter bounds live operations at cap(queue), so
 	// this send always finds buffer space and never blocks under mu.
 	d.queue <- op
 	d.mu.Unlock()
-
-	d.reg.add(op)
 	return op, nil
 }
 
